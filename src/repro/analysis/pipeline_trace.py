@@ -27,7 +27,7 @@ IssueEvent = Tuple[int, int, int, str, int, str]
 
 @OBSERVERS.register("issue_trace")
 class IssueTrace(Observer):
-    """Records every issue as a legacy trace tuple — the first in-tree
+    """Records every issue as a trace tuple — the first in-tree
     consumer of the cycle-level observer hooks."""
 
     def __init__(self) -> None:

@@ -12,17 +12,20 @@ set-associative, partitioned across DRAM channels) or, with the L2
 disabled, in private per-SM channels carrying a ``1/sm_count`` share
 of the device bandwidth.
 
-The SMs are driven in lock-step: each global cycle every unfinished
-SM takes one :meth:`~repro.core.sm.StreamingMultiprocessor.step`, and
-idle stretches skip to the earliest event over the whole device.
-Stepping order is fixed (SM 0 first), so runs are deterministic, and
-a ``GPUConfig(sm_count=1)`` device executes the exact event sequence
-of the single-SM :func:`~repro.core.simulator.simulate` path.
+The SMs are driven in lock-step: each global cycle every awake SM
+takes one :meth:`~repro.core.sm.StreamingMultiprocessor.step`.  An SM
+whose step made no progress sleeps until its own next event, and idle
+stretches of the whole device skip to the earliest wake.  As on one SM
+(see :mod:`repro.core.sm`), a skipped cycle is not the same as a
+stepped idle one: per-cycle state such as the fetch round-robin start
+does not advance.  Stepping order is fixed (SM 0 first), so runs are
+deterministic, and a ``GPUConfig(sm_count=1)`` device executes the
+exact event sequence of the single-SM
+:func:`~repro.core.simulator.simulate` path.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 import numpy as np
@@ -117,134 +120,71 @@ class GPUDevice:
 
     def _deadlock_report(self, now: int) -> str:
         header = "device deadlock at cycle %d (%d SMs)" % (now, len(self.sms))
-        return deadlock_report(
-            header, [sm for sm in self.sms if not sm.finished], now
-        )
+        return deadlock_report(header, [sm for sm in self.sms if not sm.finished])
 
-    def run(self, engine: str = "event") -> DeviceStats:
+    def run(self) -> DeviceStats:
         """Simulate to completion and return aggregated statistics.
 
-        ``engine="event"`` (default) schedules SM steps from a device-
-        level min-heap of per-SM wake events; ``engine="reference"``
-        keeps the lock-step ``wake[]`` scan.  Both drive every SM
-        through exactly the same stepped-cycle sequence (SM-index order
-        within a cycle), so stats are byte-identical.
+        Every awake SM steps once per device cycle, in SM-index order;
+        when none progressed the clock jumps to the earliest per-SM
+        wake.
         """
         self._initial_launch()
+        sms = self.sms
+        observers = self.observers
+        l2 = self.l2
         now = 0
         max_cycles = self.config.sm.max_cycles
-        done = [False] * len(self.sms)
+        done = [False] * len(sms)
         # Per-SM wake times: an SM whose step made no progress cannot
         # do anything before its own next scheduled event (the same
         # assumption the single-SM loop's event skip rests on — no
         # cross-SM coupling creates work without a local event), so it
         # sleeps instead of burning a no-op step every device cycle.
         # None = no scheduled events at all.
-        wake: List[Optional[int]] = [0] * len(self.sms)
+        wake: List[Optional[int]] = [0] * len(sms)
         l2_misses_seen = 0
         # One errstate for the whole run: compiled plans deliberately
         # skip the per-issue ``np.errstate`` the interpreter pays.
         with np.errstate(all="ignore"):
-            if engine == "event":
-                return self._run_event_loop(max_cycles)
-            if engine == "reference":
-                return self._run_loop(now, max_cycles, done, wake, l2_misses_seen)
-        raise ValueError("unknown engine %r" % (engine,))
-
-    def _run_event_loop(self, max_cycles: int) -> DeviceStats:
-        """Event-driven device clock: a heap of ``(wake, sm_index)``.
-
-        Pops every SM due at the current cycle (sorted back into SM-
-        index order so stepping matches the reference scan), steps
-        them, and re-queues each at ``now + 1`` on progress or at its
-        own next event otherwise.  The clock jumps straight to the heap
-        minimum across globally-idle spans.
-        """
-        sms = self.sms
-        done = [False] * len(sms)
-        l2_misses_seen = 0
-        observers = self.observers
-        l2 = self.l2
-        heap: List[tuple] = [(0, i) for i in range(len(sms))]
-        now = 0
-        while now < max_cycles:
-            if not heap:
-                raise SimulationError(self._deadlock_report(now))
-            now = heap[0][0]
-            if now >= max_cycles:
-                break
-            due: List[int] = []
-            while heap and heap[0][0] <= now:
-                due.append(heapq.heappop(heap)[1])
-            # The reference loop steps SMs in index order each cycle.
-            due.sort()
-            for i in due:
-                sm = sms[i]
-                if done[i]:
-                    continue
-                if sm.step(now):
-                    heapq.heappush(heap, (now + 1, i))
+            while now < max_cycles:
+                progressed = False
+                for i, sm in enumerate(sms):
+                    due = wake[i]
+                    if done[i] or due is None or due > now:
+                        continue
+                    if sm.step(now):
+                        progressed = True
+                        wake[i] = now + 1
+                    else:
+                        wake[i] = sm.next_event_cycle(now)
+                    if observers and l2 is not None:
+                        new_misses = l2.misses - l2_misses_seen
+                        if new_misses:
+                            l2_misses_seen = l2.misses
+                            event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
+                            for observer in observers:
+                                observer.on_l2_miss(event)
+                    if sm.finished:
+                        done[i] = True
+                        sm.stats.cycles = now + 1
+                if all(done):
+                    return self._collect(now + 1)
+                if progressed:
+                    now += 1
                 else:
-                    nxt = sm._heap_next_event(now)
-                    if nxt is not None:
-                        heapq.heappush(heap, (nxt, i))
-                if observers and l2 is not None:
-                    new_misses = l2.misses - l2_misses_seen
-                    if new_misses:
-                        l2_misses_seen = l2.misses
-                        event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
-                        for observer in observers:
-                            observer.on_l2_miss(event)
-                if sm.finished:
-                    done[i] = True
-                    sm.stats.cycles = now + 1
-            if all(done):
-                return self._collect(now + 1)
+                    candidates = [
+                        due
+                        for i, due in enumerate(wake)
+                        if not done[i] and due is not None and due > now
+                    ]
+                    if not candidates:
+                        raise SimulationError(self._deadlock_report(now))
+                    now = min(candidates)
         totals = DeviceStats(cycles=now, sm_stats=[sm.stats for sm in sms])
         raise SimulationError(
             overrun_report(
                 self.kernel.name, max_cycles, now, totals, sm_count=len(sms)
-            )
-        )
-
-    def _run_loop(self, now, max_cycles, done, wake, l2_misses_seen) -> DeviceStats:
-        while now < max_cycles:
-            progressed = False
-            for i, sm in enumerate(self.sms):
-                if done[i] or wake[i] is None or wake[i] > now:
-                    continue
-                if sm.step(now):
-                    progressed = True
-                    wake[i] = now + 1
-                else:
-                    wake[i] = sm.next_event_cycle(now)
-                if self.observers and self.l2 is not None:
-                    new_misses = self.l2.misses - l2_misses_seen
-                    if new_misses:
-                        l2_misses_seen = self.l2.misses
-                        event = MemEvent(now, sm.sm_id, LEVEL_L2, new_misses)
-                        for observer in self.observers:
-                            observer.on_l2_miss(event)
-                if sm.finished:
-                    done[i] = True
-                    sm.stats.cycles = now + 1
-            if all(done):
-                return self._collect(now + 1)
-            if progressed:
-                now += 1
-            else:
-                candidates = [
-                    wake[i]
-                    for i in range(len(self.sms))
-                    if not done[i] and wake[i] is not None and wake[i] > now
-                ]
-                if not candidates:
-                    raise SimulationError(self._deadlock_report(now))
-                now = min(candidates)
-        totals = DeviceStats(cycles=now, sm_stats=[sm.stats for sm in self.sms])
-        raise SimulationError(
-            overrun_report(
-                self.kernel.name, max_cycles, now, totals, sm_count=len(self.sms)
             )
         )
 
@@ -269,7 +209,6 @@ def simulate_device(
     memory: MemoryImage,
     config: Optional[GPUConfig] = None,
     observers=None,
-    engine: str = "event",
 ) -> DeviceStats:
     """Run ``kernel`` on a whole device and return its :class:`DeviceStats`.
 
@@ -277,14 +216,11 @@ def simulate_device(
     default ``GPUConfig()`` (one SM, no L2) the run is cycle-identical
     to ``simulate(kernel, memory, config.sm)``.  ``observers`` attaches
     cycle-level listeners to every SM (and to the shared L2).
-    ``engine="reference"`` selects the lock-step cycle-scanning loop
-    instead of the event heap — same stats, slower; it exists for
-    differential testing.
     """
     if config is None:
         config = GPUConfig()
     device = GPUDevice(kernel, memory, config, observers=observers)
-    return device.run(engine=engine)
+    return device.run()
 
 
 __all__ = ["CTADispatcher", "GPUDevice", "simulate_device"]

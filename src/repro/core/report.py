@@ -4,10 +4,9 @@ Both :meth:`repro.core.sm.StreamingMultiprocessor.run` and
 :class:`repro.core.gpu.GPUDevice` raise
 :class:`~repro.core.sm.SimulationError` on a deadlock (no scheduled
 events while warps are live) or a cycle-limit overrun; the message
-bodies are built here so the two loops cannot drift apart.  Deadlock
-reports include each SM's pending event heap (per-warp wake cycles) —
-when a run wedges, the first question is always "what was the engine
-waiting for".
+bodies are built here so the two loops cannot drift apart.  A
+deadlock is raised only once no SM has a future event, so the report
+lists what every live warp is stuck on: its splits and scoreboard.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ def overrun_report(kernel_name: str, limit: int, now: int, stats_like, sm_count:
     return msg
 
 
-def deadlock_report(header: str, sms, now: int) -> str:
-    """Per-SM warp states plus the pending event heap, one SM per block."""
+def deadlock_report(header: str, sms) -> str:
+    """Every live warp's splits and scoreboard, SM by SM."""
     lines: List[str] = [header]
     for sm in sms:
         for warp in sm.live_warps():
@@ -52,12 +51,4 @@ def deadlock_report(header: str, sms, now: int) -> str:
                 "  warp %d (cta %d): %s; scoreboard=%d"
                 % (warp.wid, warp.cta_id, splits, len(warp.scoreboard))
             )
-        heap = sm.event_heap_snapshot()
-        lines.append(
-            "  pending event heap (SM %d): %s"
-            % (
-                sm.sm_id,
-                ", ".join("w%d@%d" % (wid, c) for c, wid in heap) or "empty",
-            )
-        )
     return "\n".join(lines)

@@ -24,7 +24,6 @@ def simulate(
     config: Optional[SMConfig] = None,
     observers=None,
     compiled: bool = True,
-    engine: str = "event",
 ) -> Stats:
     """Run ``kernel`` on one SM and return its :class:`Stats`.
 
@@ -34,16 +33,15 @@ def simulate(
     ``observers`` attaches cycle-level listeners
     (:class:`repro.core.policy.Observer`), which never affect timing.
     ``compiled=False`` selects the reference interpreter instead of
-    the compiled instruction plans, and ``engine="reference"`` the
-    cycle-scanning run loop instead of the event heap — same stats,
-    slower; both exist for differential testing.
+    the compiled instruction plans — same stats, slower; it exists for
+    differential testing.
     """
     if config is None:
         config = SMConfig()
     sm = StreamingMultiprocessor(
         kernel, memory, config, observers=observers, compiled=compiled
     )
-    return sm.run(engine=engine)
+    return sm.run()
 
 
 __all__ = ["simulate", "simulate_device", "SimulationError"]

@@ -117,9 +117,9 @@ class DivergenceModel:
         #: on their hottest per-warp-per-cycle scans.
         self._hot_cache: Optional[List[Split]] = None
         #: Change-notification hook, bound by the SM at warp launch.
-        #: Fired on every version bump so the engine can clear the
-        #: warp's stall memos and re-enqueue its wake event without
-        #: polling the counter.
+        #: Fired on every version bump so the SM can clear the warp's
+        #: stall memos and the fetch sleep gate without polling the
+        #: counter.
         self.on_change: Optional[Callable[[], None]] = None
         #: Earliest future cycle the model can change state *on its
         #: own* (SBI's sideband-sorter promotions on the read path);

@@ -144,8 +144,9 @@ class SBIModel(DivergenceModel):
         if self.merge_count != merges_before or self.hot != old_hot:
             # State changes happen on the read path too: a merge, or a
             # cold context waking through the sideband sorter and
-            # (re)ordering the hot pair.  Stall memos and wake caches
-            # must see it, so the change hook fires here as well.
+            # (re)ordering the hot pair.  The SM's wake caches (keyed on
+            # the version) and stall memos (cleared by the change hook)
+            # must see it, so both fire here as well.
             self.version += 1
             cb = self.on_change
             if cb is not None:

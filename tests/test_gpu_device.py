@@ -1,5 +1,9 @@
 """The multi-SM device layer: dispatcher, equivalence, determinism."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,9 @@ from repro.isa.builder import KernelBuilder
 from repro.timing.config import GPUConfig, SMConfig
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.common import emit_byte_index, emit_global_tid
+
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_device.json")) as _f:
+    _GOLDEN_DEVICE = json.load(_f)
 
 
 def _saxpy_kernel(grid_size=8, cta_size=128):
@@ -156,6 +163,27 @@ class TestMultiSM:
         ds = simulate_device(kernel, mem, self._device(4, l2_size=0))
         assert ds.l2_accesses == 0
         assert ds.dram_bytes > 0
+
+
+class TestMultiSMGolden:
+    """Pinned 4-SM device runs at bench size, where every SM gets at
+    least one CTA, so the device loop's interleaving of several busy
+    SMs behind the shared L2 is covered byte for byte."""
+
+    @pytest.mark.parametrize("cell", sorted(_GOLDEN_DEVICE["cells"]))
+    def test_stats_match_golden(self, cell):
+        workload, mode = cell.split("/")
+        expected = _GOLDEN_DEVICE["cells"][cell]
+        inst = get_workload(workload, _GOLDEN_DEVICE["size"])
+        config = presets.device(mode, sm_count=_GOLDEN_DEVICE["sm_count"])
+        ds = simulate_device(inst.kernel, inst.memory, config)
+        assert [s.ctas_launched for s in ds.sm_stats] == expected["ctas_per_sm"]
+        assert ds.cycles == expected["cycles"]
+        assert ds.thread_instructions == expected["thread_instructions"]
+        sha = hashlib.sha256(
+            json.dumps(ds.to_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        assert sha == expected["stats_sha"]
 
 
 class TestDeviceStatsAggregation:

@@ -309,19 +309,6 @@ class TestObserverEvents:
         )
         assert counter.counts.get("l2_miss", 0) == dstats.l2_misses
 
-    def test_issue_trace_observer_matches_legacy_trace(self):
-        from repro.analysis.pipeline_trace import trace_kernel
-        from repro.core.sm import StreamingMultiprocessor
-
-        inst = get_workload("histogram", "tiny")
-        stats, events = trace_kernel(inst.kernel, inst.memory, presets.baseline())
-        inst2 = get_workload("histogram", "tiny")
-        sm = StreamingMultiprocessor(inst2.kernel, inst2.memory, presets.baseline())
-        sm.trace = []
-        sm.run()
-        assert events == sm.trace
-        assert len(events) == stats.instructions_issued
-
 
 class TestGoldenEquivalence:
     """Registry-resolved modes are cycle-exact vs the pre-refactor

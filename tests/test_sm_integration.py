@@ -145,18 +145,18 @@ class TestTimeoutAndEvents:
     def test_overrun_report_ipc_is_per_cycle(self):
         """The overrun message must divide by *cycles*, report both
         thread-level IPC and issue IPC, and never divide by zero."""
-        from repro.core.sm import _overrun_report
+        from repro.core.report import overrun_report
         from repro.timing.stats import Stats
 
         stats = Stats(instructions_issued=50, thread_instructions=1600)
-        msg = _overrun_report("k", 1000, 800, stats)
+        msg = overrun_report("k", 1000, 800, stats)
         assert "kernel k exceeded the 1000-cycle limit at cycle 800" in msg
         assert "50 instructions issued" in msg
         assert "1600 thread instructions" in msg
         assert "IPC %.2f" % (1600 / 800) in msg       # per-cycle, not per-limit
         assert "issue IPC %.3f" % (50 / 800) in msg
         # now=0 (overrun before any progress) must not crash.
-        assert "IPC 0.00" in _overrun_report("k", 0, 0, Stats())
+        assert "IPC 0.00" in overrun_report("k", 0, 0, Stats())
 
     def test_overrun_message_end_to_end(self):
         kb = KernelBuilder("spin2")
@@ -175,7 +175,7 @@ class TestTimeoutAndEvents:
         assert "issue IPC" in msg
 
     def test_event_skipping_matches_dense_clock(self):
-        """Event-driven skipping is a pure wall-clock optimisation: a
+        """Skipping idle cycles must not skip simulated time: a
         memory-latency-bound kernel still reports correct cycle counts
         (DRAM latency must show up in the total)."""
         kb = KernelBuilder("latency")
@@ -197,8 +197,11 @@ class TestTimeoutAndEvents:
         undefined behaviour in the programming model.  The stack
         serialises paths, so the parked top of stack can starve the
         other path: the simulator must report a deadlock diagnostic
-        promptly instead of spinning.  Thread-frontier models run the
-        minimum PC (the exiting path) first and complete."""
+        promptly instead of spinning, naming the warp's two splits:
+        the even lanes stalled at the EXIT (pc 3) behind the parked
+        odd lanes at the barrier (pc 4, ``P``).  Thread-frontier
+        models run the minimum PC (the exiting path) first and
+        complete."""
         kb = KernelBuilder("dead")
         t, p = kb.regs("t", "p")
         kb.mov(t, kb.tid)
@@ -211,11 +214,43 @@ class TestTimeoutAndEvents:
         kernel = kb.build(cta_size=32, grid_size=1, layout="as_is")
         # Frontier reconvergence completes (exit has the lower PC).
         simulate(kernel, MemoryImage(), presets.warp64(max_cycles=100_000))
-        # The stack either completes or reports a deadlock — never hangs.
-        try:
+        with pytest.raises(SimulationError) as excinfo:
             simulate(kernel, MemoryImage(), presets.baseline(max_cycles=100_000))
-        except SimulationError as err:
-            assert "deadlock" in str(err)
+        assert str(excinfo.value) == (
+            "deadlock at cycle 28 in kernel dead (SM 0)\n"
+            "  warp 0 (cta 0): Split(pc=3, mask=0x55555555), "
+            "Split(pc=4, mask=0xaaaaaaaaP); scoreboard=0"
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FetchEngine._rr, the fetch round-robin start, advances "
+        "once per stepped cycle, so a skipped idle span leaves it behind "
+        "where stepping every cycle would have moved it",
+    )
+    @pytest.mark.parametrize("workload,mode", [("srad", "baseline"), ("lud", "warp64")])
+    def test_skipping_matches_stepping_every_cycle(self, workload, mode):
+        """The run loop's idle-cycle skip should give the same stats as
+        stepping the SM on every cycle."""
+        from repro.workloads import get_workload
+
+        config = presets.by_name(mode)
+        inst = get_workload(workload, "tiny")
+        skipped = simulate(inst.kernel, inst.memory, config)
+        inst = get_workload(workload, "tiny")
+        sm = StreamingMultiprocessor(inst.kernel, inst.memory, config)
+        sm._initial_launch()
+        now = 0
+        with np.errstate(all="ignore"):
+            while True:
+                sm.step(now)
+                if sm.finished:
+                    break
+                now += 1
+                assert now < config.max_cycles
+        sm.stats.cycles = now + 1
+        assert sm.stats.to_dict() == skipped.to_dict()
 
 
 class TestMemorySystemIntegration:
